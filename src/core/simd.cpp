@@ -125,6 +125,38 @@ void eden_quantize_scalar(const float* r, std::size_t n, double rms,
   }
 }
 
+void gemm_rows_scalar(GemmForm form, const float* a, std::size_t a_rs,
+                      std::size_t a_ks, const float* b, float* c,
+                      std::size_t ldc, std::size_t rows, std::size_t k,
+                      std::size_t n) noexcept {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * a_rs;
+    float* crow = c + i * ldc;
+    if (form == GemmForm::kAccumulate) {
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float av = arow[kk * a_ks];
+        if (av == 0.0f) continue;
+        const float* brow = b + kk * n;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+      continue;
+    }
+    // kDot: one running sum per column, over a stack block of columns.
+    constexpr std::size_t kBlock = 64;
+    float sum[kBlock];
+    for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
+      const std::size_t w = std::min(kBlock, n - j0);
+      std::fill(sum, sum + w, 0.0f);
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float av = arow[kk * a_ks];
+        const float* brow = b + kk * n + j0;
+        for (std::size_t j = 0; j < w; ++j) sum[j] += av * brow[j];
+      }
+      for (std::size_t j = 0; j < w; ++j) crow[j0 + j] += sum[j];
+    }
+  }
+}
+
 // ---- AVX2 kernels --------------------------------------------------------
 
 #if TRIMGRAD_SIMD_X86
@@ -284,6 +316,95 @@ TG_AVX2 void eden_quantize_avx2(const float* r, std::size_t n, double rms,
   }
   if (i < n)
     eden_quantize_scalar(r + i, n - i, rms, boundaries, nb, codes + i);
+}
+
+// GEMM: V output vectors (8·V columns) of one row stay in registers across
+// the whole k loop, so each lane is one output element's multiply-then-add
+// chain in ascending kk. Column blocks are the outer loop: a block's k×8V
+// strip of B stays in L1 across every row. kTail masks the last vector's
+// loads and stores to the `tail` lanes.
+template <bool kTail>
+TG_AVX2 inline __m256 gemm_load(const float* p, bool last,
+                                __m256i tail) noexcept {
+  return kTail && last ? _mm256_maskload_ps(p, tail) : _mm256_loadu_ps(p);
+}
+
+template <bool kTail>
+TG_AVX2 inline void gemm_store(float* p, bool last, __m256i tail,
+                               __m256 v) noexcept {
+  if (kTail && last) {
+    _mm256_maskstore_ps(p, tail, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+template <bool kDot, int V, bool kTail>
+TG_AVX2 void gemm_block_avx2(const float* a, std::size_t a_rs,
+                             std::size_t a_ks, const float* b, std::size_t ldb,
+                             float* c, std::size_t ldc, std::size_t rows,
+                             std::size_t k, __m256i tail) noexcept {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * a_rs;
+    float* crow = c + i * ldc;
+    __m256 acc[V];
+    for (int v = 0; v < V; ++v) {
+      acc[v] = kDot ? _mm256_setzero_ps()
+                    : gemm_load<kTail>(crow + 8 * v, v == V - 1, tail);
+    }
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk * a_ks];
+      if (!kDot && av == 0.0f) continue;
+      const __m256 va = _mm256_set1_ps(av);
+      const float* brow = b + kk * ldb;
+      for (int v = 0; v < V; ++v) {
+        const __m256 bv = gemm_load<kTail>(brow + 8 * v, v == V - 1, tail);
+        acc[v] = _mm256_add_ps(acc[v], _mm256_mul_ps(va, bv));
+      }
+    }
+    for (int v = 0; v < V; ++v) {
+      if (kDot) {
+        const __m256 cv = gemm_load<kTail>(crow + 8 * v, v == V - 1, tail);
+        acc[v] = _mm256_add_ps(cv, acc[v]);
+      }
+      gemm_store<kTail>(crow + 8 * v, v == V - 1, tail, acc[v]);
+    }
+  }
+}
+
+template <bool kDot>
+TG_AVX2 void gemm_rows_avx2(const float* a, std::size_t a_rs,
+                            std::size_t a_ks, const float* b, float* c,
+                            std::size_t ldc, std::size_t rows, std::size_t k,
+                            std::size_t n) noexcept {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    gemm_block_avx2<kDot, 4, false>(a, a_rs, a_ks, b + j, n, c + j, ldc, rows,
+                                    k, __m256i{});
+  }
+  // The last 1-31 columns: ceil(rest/8) vectors, the last one masked (to
+  // all 8 lanes when rest is a multiple of 8).
+  const std::size_t rest = n - j;
+  if (rest == 0) return;
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>((rest - 1) % 8 + 1)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  b += j;
+  c += j;
+  switch ((rest + 7) / 8) {
+    case 1:
+      return gemm_block_avx2<kDot, 1, true>(a, a_rs, a_ks, b, n, c, ldc, rows,
+                                            k, tail);
+    case 2:
+      return gemm_block_avx2<kDot, 2, true>(a, a_rs, a_ks, b, n, c, ldc, rows,
+                                            k, tail);
+    case 3:
+      return gemm_block_avx2<kDot, 3, true>(a, a_rs, a_ks, b, n, c, ldc, rows,
+                                            k, tail);
+    default:
+      return gemm_block_avx2<kDot, 4, true>(a, a_rs, a_ks, b, n, c, ldc, rows,
+                                            k, tail);
+  }
 }
 
 bool cpu_has_avx2() noexcept { return __builtin_cpu_supports("avx2"); }
@@ -484,6 +605,22 @@ void eden_quantize(const float* r, std::size_t n, double rms,
     return eden_quantize_avx2(r, n, rms, boundaries, n_boundaries, codes);
 #endif
   eden_quantize_scalar(r, n, rms, boundaries, n_boundaries, codes);
+}
+
+void gemm_rows(GemmForm form, const float* a, std::size_t a_row_stride,
+               std::size_t a_k_stride, const float* b, float* c,
+               std::size_t ldc, std::size_t rows, std::size_t k,
+               std::size_t n) noexcept {
+#if TRIMGRAD_SIMD_X86
+  if (active_isa() == Isa::kAvx2) {
+    return form == GemmForm::kDot
+               ? gemm_rows_avx2<true>(a, a_row_stride, a_k_stride, b, c, ldc,
+                                      rows, k, n)
+               : gemm_rows_avx2<false>(a, a_row_stride, a_k_stride, b, c, ldc,
+                                       rows, k, n);
+  }
+#endif
+  gemm_rows_scalar(form, a, a_row_stride, a_k_stride, b, c, ldc, rows, k, n);
 }
 
 }  // namespace trimgrad::core::simd

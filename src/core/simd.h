@@ -1,14 +1,16 @@
-// SIMD kernel dispatch for the codec hot paths.
+// SIMD kernel dispatch for the codec and ML-layer hot paths.
 //
 // Every inner loop that moves a gradient coordinate — FWHT butterflies,
-// sign/magnitude splits, EDEN codebook quantization — funnels through this
-// header so there is exactly one place where instruction sets are chosen.
-// Three implementations exist per kernel:
+// sign/magnitude splits, EDEN codebook quantization — and the one GEMM row
+// kernel behind ml/tensor.h funnel through this header, so there is exactly
+// one place where instruction sets are chosen. Each kernel has up to three
+// implementations:
 //
 //   * AVX2 (x86-64)  — compiled with per-function target attributes, so the
 //     default build carries the vector code even without -mavx2; it is only
 //     *executed* after a runtime cpuid check.
-//   * NEON (aarch64) — compiled when __ARM_NEON is available.
+//   * NEON (aarch64) — compiled when __ARM_NEON is available (the codec
+//     kernels; the GEMM runs its scalar reference there).
 //   * scalar         — the reference; always compiled, always available.
 //
 // Dispatch policy: at first use the active ISA is resolved as
@@ -21,13 +23,18 @@
 // Determinism contract: every kernel here is *lane-parallel over
 // independent elements* — element i of the output depends only on element i
 // of the inputs, through the exact same IEEE-754 operations the scalar
-// reference performs (adds/subs/divides/compares/bit twiddles; never a
-// reassociated reduction). Vector and scalar paths therefore produce
-// bit-identical results, which is what lets SIMD-vs-scalar builds (and any
-// TRIMGRAD_THREADS) decode each other's packets exactly. Reductions with
+// reference performs (adds/subs/multiplies/divides/compares/bit twiddles;
+// never a reassociated reduction, never a fused multiply-add). The GEMM is
+// lane-parallel over output columns: each lane runs one output element's
+// multiply-then-add chain in ascending k, exactly as the scalar loop does.
+// Vector and scalar paths therefore produce bit-identical results, which is
+// what lets SIMD-vs-scalar builds (and any TRIMGRAD_THREADS) decode each
+// other's packets and train the same weights. Reductions with
 // order-sensitive rounding (row norms, EDEN's ⟨R,C⟩) deliberately stay
-// scalar in their callers. tests/core/simd_test.cpp enforces the contract
-// kernel by kernel.
+// scalar in their callers. The library is compiled with -ffp-contract=off so
+// the compiler cannot fuse a multiply and an add behind the kernels' back.
+// tests/core/simd_test.cpp enforces the contract kernel by kernel, and
+// tests/ml/gemm_test.cpp pins the GEMM against the loop nests it replaced.
 #pragma once
 
 #include <cstddef>
@@ -88,5 +95,28 @@ void encode_sd(const float* v, const float* dither, std::size_t n,
 void eden_quantize(const float* r, std::size_t n, double rms,
                    const float* boundaries, std::size_t n_boundaries,
                    std::uint32_t* codes) noexcept;
+
+// ---- GEMM row kernel (ml/tensor.h) ---------------------------------------
+
+/// The two per-element accumulation orders the ML layer's GEMMs guarantee.
+enum class GemmForm : std::uint8_t {
+  /// C(i,j) += A(i,kk) * B(kk,j) for kk = 0, 1, …, k−1 in turn, straight
+  /// into C; a kk with A(i,kk) == 0 (either sign) is skipped, so C keeps a
+  /// −0 and ignores inf/NaN in that row of B.
+  kAccumulate,
+  /// s = +0; s += A(i,kk) * B(kk,j) for every kk = 0, …, k−1 (no skip);
+  /// then C(i,j) += s.
+  kDot,
+};
+
+/// Apply `form` to output rows i = 0 … rows−1, columns j = 0 … n−1.
+/// A(i,kk) is a[i·a_row_stride + kk·a_k_stride] (so a transposed A needs no
+/// copy), B is row-major k×n and C(i,j) is c[i·ldc + j]. Every product is
+/// rounded to float before it is added (no FMA), so the result is
+/// bit-identical on every ISA.
+void gemm_rows(GemmForm form, const float* a, std::size_t a_row_stride,
+               std::size_t a_k_stride, const float* b, float* c,
+               std::size_t ldc, std::size_t rows, std::size_t k,
+               std::size_t n) noexcept;
 
 }  // namespace trimgrad::core::simd

@@ -78,7 +78,11 @@ class Conv2d : public Layer {
   std::size_t cin_, cout_;
   std::vector<float> w_, b_, gw_, gb_;  ///< w: [cout, cin*9]
   Tensor x_cache_;
-  std::vector<float> cols_cache_;  ///< im2col of the whole batch
+  /// Per-image lowering scratch, reused across images and calls: forward's
+  /// im2col (ck×hw), backward's transposed lowering (hw×ck) and column
+  /// gradients (ck×hw). Backward re-lowers from x_cache_ instead of keeping
+  /// every image's columns alive.
+  std::vector<float> cols_, dcols_;
 };
 
 /// 2×2 max pooling, stride 2. Requires even H, W.

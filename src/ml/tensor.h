@@ -45,16 +45,35 @@ struct Tensor {
   const float* ptr() const noexcept { return data.data(); }
 };
 
-/// C = A(m×k) · B(k×n), row-major, accumulating into C (caller zeroes).
+// GEMMs. Every matrix is row-major float. Each entry point is a thin
+// row-parallel wrapper over core::simd::gemm_rows, and each guarantees one
+// exact per-element accumulation order — that order is the bit-exactness
+// contract (every product is rounded before it is added; no FMA), so the
+// results are identical for every thread count and every SIMD ISA.
+// tests/ml/gemm_test.cpp checks each entry point byte for byte against the
+// plain loop nests.
+
+/// C(m×n) += A(m×k) · B(k×n), straight into C: for kk = 0 … k−1 in turn,
+/// C(i,j) += A(i,kk) * B(kk,j), skipping every kk with A(i,kk) == 0.
 void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m,
                      std::size_t k, std::size_t n) noexcept;
 
-/// C = Aᵀ(k×m→m×k? no:) — convenience variants used by conv/linear backward:
-/// C(m×n) += A(k×m)ᵀ · B(k×n).
+/// C(m×n) += Aᵀ · B(k×n) with A stored k×m (so Aᵀ(i,kk) = a[kk·m + i]).
+/// Same order as gemm_accumulate: C(i,j) += A(kk,i) * B(kk,j) for
+/// kk = 0 … k−1, skipping every kk with A(kk,i) == 0.
 void gemm_at_b(const float* a, const float* b, float* c, std::size_t k,
                std::size_t m, std::size_t n) noexcept;
 
-/// C(m×n) += A(m×k) · B(n×k)ᵀ.
+/// C(m×n) += A(m×k) · B(k×n) as dot products: s = +0, then
+/// s += A(i,kk) * B(kk,j) for every kk = 0 … k−1 (no zero skip), then
+/// C(i,j) += s.
+void gemm_dot(const float* a, const float* b, float* c, std::size_t m,
+              std::size_t k, std::size_t n) noexcept;
+
+/// C(m×n) += A(m×k) · Bᵀ with B stored n×k: gemm_dot over B packed to k×n
+/// (32 columns at a time, into a per-thread buffer), so
+/// C(i,j) += (+0 + A(i,0)·B(j,0) + … + A(i,k−1)·B(j,k−1)), summed left to
+/// right.
 void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,
                std::size_t k, std::size_t n) noexcept;
 

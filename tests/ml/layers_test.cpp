@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "ml/loss.h"
@@ -163,6 +164,123 @@ TEST(Conv2d, GradientsPassNumericalCheck) {
   net.emplace<Conv2d>(2, 3, rng);
   check_input_gradient(net, random_tensor({2, 2, 4, 4}, 14), 2e-2, 102);
   check_param_gradient(net, random_tensor({2, 2, 4, 4}, 15), 2e-2, 103);
+}
+
+/// Conv2d written as direct loops, in the exact per-element operation order
+/// of the im2col + GEMM formulation: forward adds each nonzero weight's
+/// product (padding reads +0) onto the bias in ascending c*9+k; dW sums a
+/// dot product from +0 over ascending pixels; the column gradient sums the
+/// nonzero weights' products in ascending output channel and is then added
+/// into dx in (c, dh, dw) order, skipping padding.
+struct DirectConv {
+  std::size_t cin, cout, h, w;
+  float xval(const float* x, std::size_t q, std::size_t p) const {
+    const std::size_t c = q / 9, k = q % 9;
+    const int sy = static_cast<int>(p / w) + static_cast<int>(k / 3) - 1;
+    const int sx = static_cast<int>(p % w) + static_cast<int>(k % 3) - 1;
+    if (sy < 0 || sy >= static_cast<int>(h) || sx < 0 ||
+        sx >= static_cast<int>(w)) {
+      return 0.0f;
+    }
+    return x[c * h * w + static_cast<std::size_t>(sy) * w +
+             static_cast<std::size_t>(sx)];
+  }
+  void forward(const float* x, const std::vector<float>& wt,
+               const std::vector<float>& b, float* y) const {
+    const std::size_t hw = h * w, ck = cin * 9;
+    for (std::size_t f = 0; f < cout; ++f) {
+      for (std::size_t p = 0; p < hw; ++p) {
+        float acc = b[f];
+        for (std::size_t q = 0; q < ck; ++q) {
+          if (wt[f * ck + q] == 0.0f) continue;
+          acc += wt[f * ck + q] * xval(x, q, p);
+        }
+        y[f * hw + p] = acc;
+      }
+    }
+  }
+  void backward(const float* x, const float* g, const std::vector<float>& wt,
+                std::vector<float>& gw, std::vector<float>& gb,
+                float* dx) const {
+    const std::size_t hw = h * w, ck = cin * 9;
+    for (std::size_t f = 0; f < cout; ++f) {
+      for (std::size_t q = 0; q < ck; ++q) {
+        float s = 0.0f;
+        for (std::size_t p = 0; p < hw; ++p) s += g[f * hw + p] * xval(x, q, p);
+        gw[f * ck + q] += s;
+      }
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < hw; ++p) acc += g[f * hw + p];
+      gb[f] += acc;
+    }
+    for (std::size_t q = 0; q < ck; ++q) {
+      const std::size_t c = q / 9, k = q % 9;
+      for (std::size_t p = 0; p < hw; ++p) {
+        float dcol = 0.0f;
+        for (std::size_t f = 0; f < cout; ++f) {
+          if (wt[f * ck + q] == 0.0f) continue;
+          dcol += wt[f * ck + q] * g[f * hw + p];
+        }
+        const int sy = static_cast<int>(p / w) + static_cast<int>(k / 3) - 1;
+        const int sx = static_cast<int>(p % w) + static_cast<int>(k % 3) - 1;
+        if (sy < 0 || sy >= static_cast<int>(h) || sx < 0 ||
+            sx >= static_cast<int>(w)) {
+          continue;
+        }
+        dx[c * hw + static_cast<std::size_t>(sy) * w +
+           static_cast<std::size_t>(sx)] += dcol;
+      }
+    }
+  }
+};
+
+TEST(Conv2d, MatchesDirectLoopsBitForBit) {
+  // Odd and degenerate sizes (1 wide, 1 high) exercise every padding edge
+  // of the flat im2col/col2im runs; zero weights of both signs exercise
+  // the GEMMs' zero skip.
+  struct Shape {
+    std::size_t cin, cout, h, w;
+  };
+  std::uint64_t seed = 40;
+  for (const Shape s : {Shape{1, 1, 1, 1}, Shape{2, 3, 1, 5}, Shape{3, 2, 5, 1},
+                        Shape{2, 2, 2, 3}, Shape{3, 4, 5, 7}, Shape{4, 6, 8, 8},
+                        Shape{3, 5, 16, 16}}) {
+    const std::size_t batch = 3;
+    core::Xoshiro256 rng(seed);
+    Conv2d conv(s.cin, s.cout, rng);
+    auto params = conv.params();
+    std::vector<float>& wt = *params[0].values;
+    std::vector<float>& b = *params[1].values;
+    for (std::size_t i = 0; i < wt.size(); i += 4) wt[i] = i % 8 ? 0.0f : -0.0f;
+    for (float& v : b) v = static_cast<float>(rng.gaussian());
+    const Tensor x = random_tensor({batch, s.cin, s.h, s.w}, seed + 1);
+    const Tensor g = random_tensor({batch, s.cout, s.h, s.w}, seed + 2);
+    seed += 3;
+
+    const DirectConv ref{s.cin, s.cout, s.h, s.w};
+    const std::size_t in_img = s.cin * s.h * s.w;
+    const std::size_t out_img = s.cout * s.h * s.w;
+    Tensor want_y({batch, s.cout, s.h, s.w});
+    Tensor want_dx({batch, s.cin, s.h, s.w});
+    std::vector<float> want_gw(wt.size(), 0.0f), want_gb(b.size(), 0.0f);
+    for (std::size_t i = 0; i < batch; ++i) {
+      ref.forward(x.ptr() + i * in_img, wt, b, want_y.ptr() + i * out_img);
+      ref.backward(x.ptr() + i * in_img, g.ptr() + i * out_img, wt, want_gw,
+                   want_gb, want_dx.ptr() + i * in_img);
+    }
+
+    const Tensor y = conv.forward(x);
+    const Tensor dx = conv.backward(g);
+    const auto same = [](const std::vector<float>& a,
+                         const std::vector<float>& e) {
+      return a.size() == e.size() &&
+             std::memcmp(a.data(), e.data(), a.size() * sizeof(float)) == 0;
+    };
+    EXPECT_TRUE(same(y.data, want_y.data)) << "forward " << s.h << "x" << s.w;
+    EXPECT_TRUE(same(dx.data, want_dx.data)) << "dx " << s.h << "x" << s.w;
+    EXPECT_TRUE(same(*params[0].grads, want_gw)) << "dW " << s.h << "x" << s.w;
+    EXPECT_TRUE(same(*params[1].grads, want_gb)) << "db " << s.h << "x" << s.w;
+  }
 }
 
 TEST(MaxPool2d, SelectsMaxAndRoutesGradient) {
