@@ -180,10 +180,15 @@ TEST(EncodeAll, SignHeadsMatchSigns) {
 
 // ---- cross-scheme property sweep ----
 
+// gtest names a parameter that has no operator<< by its raw bytes, so the
+// padding after `scheme` is spelled out and zeroed: left implicit, it holds
+// whatever was on the stack and the test's name changes from build to build.
 struct SchemeCase {
   ScalarScheme scheme;
+  std::uint8_t zero_pad[7];
   double trim_nmse_bound;  // loose sanity bound on trimmed-decode NMSE
 };
+static_assert(sizeof(SchemeCase) == 16);
 
 class TrimmedNmseSweep : public ::testing::TestWithParam<SchemeCase> {};
 
@@ -208,11 +213,11 @@ INSTANTIATE_TEST_SUITE_P(
     AllScalarSchemes, TrimmedNmseSweep,
     ::testing::Values(
         // sign→±σ on gaussians: E[(σ·s−v)²]/σ² = 2−2E|v|/σ = 2−2√(2/π) ≈ 0.40
-        SchemeCase{ScalarScheme::kSign, 0.5},
+        SchemeCase{ScalarScheme::kSign, {}, 0.5},
         // SQ at L=2.5σ has variance ≈ L² − v² per coord; NMSE ≈ 5.25
-        SchemeCase{ScalarScheme::kSQ, 6.5},
+        SchemeCase{ScalarScheme::kSQ, {}, 6.5},
         // SD error uniform-ish with var ≤ L²·(13/12)-ish; keep loose
-        SchemeCase{ScalarScheme::kSD, 8.0}),
+        SchemeCase{ScalarScheme::kSD, {}, 8.0}),
     [](const ::testing::TestParamInfo<SchemeCase>& info) {
       return to_string(info.param.scheme);
     });
